@@ -48,13 +48,15 @@ serve-smoke:
 
 # The two measured benchmark suites, invoked exactly as the CI bench
 # job runs them (see .github/workflows/ci.yml) so local numbers are
-# comparable to the gated ones. bench is the sub-second dense-round and
-# sparse-calendar suites; bench-scale is the 100k+ regime — single
-# iterations, 3 counts, -benchmem — plus the opt-in million-device
-# round when BENCH_SCALE_1M=1 is exported.
+# comparable to the gated ones. bench is the sub-second dense-round,
+# sparse-calendar and protocol-path (one end-to-end NW, MP and epidemic
+# broadcast each, whose allocs/op CI budgets) suites, with -benchmem;
+# bench-scale is the 100k+ regime — single iterations, 3 counts,
+# -benchmem — plus the opt-in million-device round when
+# BENCH_SCALE_1M=1 is exported.
 bench:
-	go test -run '^$$' -bench 'BenchmarkDenseRound(Linear|Indexed|4096|Disk)|BenchmarkSparseCalendar' \
-		-count 5 -benchtime 0.3s . ./internal/sim
+	go test -run '^$$' -bench 'BenchmarkDenseRound(Linear|Indexed|4096|Disk)|BenchmarkSparseCalendar|BenchmarkSingleBroadcast(NW|MP|Epidemic)$$' \
+		-count 5 -benchtime 0.3s -benchmem . ./internal/sim
 
 bench-scale:
 	go test -run '^$$' -bench 'BenchmarkDenseRound(65536|262144|1M)$$' \

@@ -207,8 +207,15 @@ func benchDenseRoundDisk(b *testing.B, linear bool) {
 func BenchmarkDenseRoundDiskLinear(b *testing.B) { benchDenseRoundDisk(b, true) }
 func BenchmarkDenseRoundDisk(b *testing.B)       { benchDenseRoundDisk(b, false) }
 
+// The single-broadcast benchmarks are the protocol-path suite: one
+// end-to-end broadcast each over the per-device round path the golden
+// sweeps run (protocol devices on small grids, six-sub-round 2Bit
+// slots). `make bench` and the CI bench job run them with -benchmem,
+// and CI budgets each one's allocs/op absolutely (see
+// .github/workflows/ci.yml, bench job).
+
 // BenchmarkSingleBroadcastNW measures one end-to-end NeighborWatchRB
-// broadcast (the library's core operation) for ns/op tracking.
+// broadcast (the library's core operation).
 func BenchmarkSingleBroadcastNW(b *testing.B) {
 	s := experiment.Scenario{
 		Name: "bench", Protocol: core.NeighborWatchRB, Deploy: experiment.GridDeploy,

@@ -4,17 +4,17 @@ import "testing"
 
 // TestDenseRoundSteadyStateAllocs pins the scale property the 100k+
 // benchmarks depend on: once scratch is warm, resolving a dense round
-// allocates O(1) — nothing per device. The per-round residue is the
-// hierarchical wheel growing fresh slots (each round lands in a new
-// slot until the wheel wraps, a bounded cost), so the budget is a
-// small constant; at 4096 devices even one allocation per hundred
-// devices would blow it.
+// allocates nothing per device. The wake wheel recycles drained slot
+// arrays, so a fleet waking every round reuses two arrays instead of
+// growing a fresh slot each round; steady-state rounds measure zero
+// allocations, and the budget leaves room for a stray runtime
+// allocation, far below one per hundred devices.
 func TestDenseRoundSteadyStateAllocs(t *testing.T) {
 	e := DenseRoundEngine(4096, false, 7)
 	DenseRounds(e, 8) // warm up index storage, wheel, scratch
 	n := testing.AllocsPerRun(10, func() { DenseRounds(e, 1) })
-	if n > 32 {
-		t.Fatalf("steady-state dense round allocates %v times, want <= 32 (must not scale with devices)", n)
+	if n > 2 {
+		t.Fatalf("steady-state dense round allocates %v times, want <= 2 (must not scale with devices)", n)
 	}
 }
 

@@ -118,13 +118,15 @@ type Node struct {
 	complete    bool
 	completedAt uint64
 
+	// Per-slot activity. The 2Bit role machines are held by value and
+	// reset at each slot start; role says which one is live.
 	cur struct {
 		active bool
 		start  uint64
 		slot   int
 		role   role
-		tx     *twobit.Sender
-		rx     *twobit.Receiver
+		tx     twobit.Sender
+		rx     twobit.Receiver
 		stream *rxState
 	}
 }
@@ -272,19 +274,19 @@ func (n *Node) beginSlot(start uint64, slot int) {
 	n.cur.active = true
 	n.cur.start = start
 	n.cur.slot = slot
-	n.cur.tx, n.cur.rx, n.cur.stream = nil, nil, nil
+	n.cur.stream = nil
 	switch {
 	case slot == n.mySlot:
 		if p, ok := n.send.Current(); ok {
 			n.cur.role = roleSender
-			n.cur.tx = twobit.NewSender(p.B1, p.B2)
+			n.cur.tx = twobit.Sender{B1: p.B1, B2: p.B2}
 		} else {
 			n.cur.role = roleIdle
 		}
 	default:
 		if s, ok := n.streams[slot]; ok {
 			n.cur.role = roleReceiver
-			n.cur.rx = twobit.NewReceiver()
+			n.cur.rx = twobit.Receiver{}
 			n.cur.stream = s
 		} else {
 			n.cur.role = roleIdle
@@ -502,8 +504,9 @@ type Source struct {
 	id   int
 	pos  geom.Point
 	send *onehop.FrameSender
-	tx   *twobit.Sender
-	cur  uint64
+	tx   twobit.Sender
+	on   bool   // a 2Bit exchange is in flight
+	cur  uint64 // active slot start (valid when on)
 }
 
 // NewSource builds the source device broadcasting msg.
@@ -538,9 +541,10 @@ func (s *Source) Wake(r uint64) sim.Step {
 	if slot != mySlot {
 		return sim.Step{Action: sim.Sleep, NextWake: s.sh.NS.NextStart(r+1, mySlot)}
 	}
-	if s.tx == nil || s.cur != start {
+	if !s.on || s.cur != start {
 		p, _ := s.send.Current()
-		s.tx = twobit.NewSender(p.B1, p.B2)
+		s.tx = twobit.Sender{B1: p.B1, B2: p.B2}
+		s.on = true
 		s.cur = start
 	}
 	var st sim.Step
@@ -568,13 +572,13 @@ func (s *Source) Wake(r uint64) sim.Step {
 
 // Deliver implements sim.Device.
 func (s *Source) Deliver(r uint64, obs radio.Obs) {
-	if s.tx == nil || s.cur > r || r-s.cur >= uint64(s.sh.NS.SlotLen) {
+	if !s.on || s.cur > r || r-s.cur >= uint64(s.sh.NS.SlotLen) {
 		return
 	}
 	sub := int(r - s.cur)
 	s.tx.Observe(sub, obs.Busy)
 	if sub == twobit.R6 {
 		s.send.SlotDone(s.tx.Outcome() == twobit.Success)
-		s.tx = nil
+		s.on = false
 	}
 }

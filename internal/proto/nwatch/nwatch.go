@@ -124,9 +124,9 @@ type Node struct {
 	streams map[int]*rxStream // key: slot
 
 	committed   []bool
-	firstCommit []int8         // -1 unset, else 0/1: first value to reach the vote threshold
-	votes       []map[int]bool // per bit index: slot -> value
-	fromSource  []int8         // -1 unset, else 0/1: value delivered directly by the source
+	firstCommit []int8     // -1 unset, else 0/1: first value to reach the vote threshold
+	votes       [][2]int32 // per bit index: streams that delivered 0 / 1
+	fromSource  []int8     // -1 unset, else 0/1: value delivered directly by the source
 	liar        bool
 
 	completedAt uint64
@@ -140,15 +140,16 @@ type Node struct {
 	rank       int
 	yielded    bool
 
-	// Per-slot activity.
+	// Per-slot activity. The 2Bit role machines are held by value and
+	// reset at each slot start; role says which one is live.
 	cur struct {
 		active bool
 		start  uint64
 		slot   int
 		role   role
-		tx     *twobit.Sender
-		watch  *twobit.Watcher
-		rx     *twobit.Receiver
+		tx     twobit.Sender
+		watch  twobit.Watcher
+		rx     twobit.Receiver
 		stream *rxStream
 	}
 }
@@ -194,7 +195,7 @@ func newNode(sh *Shared, id int) *Node {
 		send:        onehop.NewStreamSender(sh.MsgLen),
 		streams:     make(map[int]*rxStream),
 		firstCommit: make([]int8, sh.MsgLen),
-		votes:       make([]map[int]bool, sh.MsgLen),
+		votes:       make([][2]int32, sh.MsgLen),
 		fromSource:  make([]int8, sh.MsgLen),
 	}
 	for i := range n.firstCommit {
@@ -304,25 +305,25 @@ func (n *Node) beginSlot(start uint64, slot int) {
 	n.cur.active = true
 	n.cur.start = start
 	n.cur.slot = slot
-	n.cur.tx, n.cur.watch, n.cur.rx, n.cur.stream = nil, nil, nil, nil
+	n.cur.stream = nil
 	switch {
 	case slot == n.mySlot:
 		if n.yielded {
 			n.cur.role = roleIdle
 		} else if p, _, ok := n.send.Current(); ok {
 			n.cur.role = roleSender
-			n.cur.tx = twobit.NewSender(p.B1, p.B2)
+			n.cur.tx = twobit.Sender{B1: p.B1, B2: p.B2}
 		} else {
 			// Nothing committed yet (or stream finished): monitor the
 			// square. Pre-stream positions expect parity 1, so the
 			// activity-triggered watcher suffices (see twobit.Watcher).
 			n.cur.role = roleWatcher
-			n.cur.watch = twobit.NewWatcher(false)
+			n.cur.watch = twobit.Watcher{}
 		}
 	default:
 		if s, ok := n.streams[slot]; ok {
 			n.cur.role = roleReceiver
-			n.cur.rx = twobit.NewReceiver()
+			n.cur.rx = twobit.Receiver{}
 			n.cur.stream = s
 		} else {
 			n.cur.role = roleIdle
@@ -462,26 +463,17 @@ func (n *Node) acceptPair(r uint64, s *rxStream, p onehop.Pair) {
 }
 
 // registerVote records that the stream in the given slot delivered bit
-// index i with value v.
+// index i with value v. Each stream delivers each index once (its
+// counted cursor only advances), so a per-value tally counts the
+// distinct slots that voted for it.
 func (n *Node) registerVote(i int, v bool, slot int) {
 	if slot == schedule.SourceSlot {
 		n.fromSource[i] = b2i(v)
 		return
 	}
-	if n.votes[i] == nil {
-		n.votes[i] = make(map[int]bool)
-	}
-	n.votes[i][slot] = v
-	if n.firstCommit[i] < 0 {
-		count := 0
-		for _, val := range n.votes[i] {
-			if val == v {
-				count++
-			}
-		}
-		if count >= n.sh.Votes {
-			n.firstCommit[i] = b2i(v)
-		}
+	n.votes[i][b2i(v)]++
+	if n.firstCommit[i] < 0 && int(n.votes[i][b2i(v)]) >= n.sh.Votes {
+		n.firstCommit[i] = b2i(v)
 	}
 }
 
@@ -546,8 +538,9 @@ type Source struct {
 	id   int
 	pos  geom.Point
 	send *onehop.StreamSender
-	tx   *twobit.Sender
-	cur  uint64 // active slot start (valid when tx != nil)
+	tx   twobit.Sender
+	on   bool   // a 2Bit exchange is in flight
+	cur  uint64 // active slot start (valid when on)
 }
 
 // NewSource builds the source device broadcasting msg.
@@ -579,12 +572,13 @@ func (s *Source) Wake(r uint64) sim.Step {
 	if slot != schedule.SourceSlot || s.send.Done() {
 		return sim.Step{Action: sim.Sleep, NextWake: s.sourceNextWake(r)}
 	}
-	if sub == 0 || s.tx == nil || s.cur != start {
+	if sub == 0 || !s.on || s.cur != start {
 		p, _, ok := s.send.Current()
 		if !ok {
 			return sim.Step{Action: sim.Sleep, NextWake: s.sourceNextWake(r)}
 		}
-		s.tx = twobit.NewSender(p.B1, p.B2)
+		s.tx = twobit.Sender{B1: p.B1, B2: p.B2}
+		s.on = true
 		s.cur = start
 	}
 	var step sim.Step
@@ -619,14 +613,14 @@ func (s *Source) sourceNextWake(r uint64) uint64 {
 
 // Deliver implements sim.Device.
 func (s *Source) Deliver(r uint64, obs radio.Obs) {
-	if s.tx == nil || s.cur > r || r-s.cur >= uint64(s.sh.G.SlotLen) {
+	if !s.on || s.cur > r || r-s.cur >= uint64(s.sh.G.SlotLen) {
 		return
 	}
 	sub := int(r - s.cur)
 	s.tx.Observe(sub, obs.Busy)
 	if sub == twobit.R6 {
 		s.send.SlotDone(s.tx.Outcome() == twobit.Success)
-		s.tx = nil
+		s.on = false
 	}
 }
 

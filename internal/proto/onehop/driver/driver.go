@@ -71,7 +71,7 @@ type sender struct {
 	liar bool
 
 	str *onehop.StreamSender
-	tb  *twobit.Sender
+	tb  twobit.Sender
 	on  bool // a 2Bit exchange is in flight this slot
 }
 
@@ -97,7 +97,7 @@ func (s *sender) Wake(r uint64) sim.Step {
 		if !ok { // stream fully delivered
 			return sim.Step{Action: sim.Sleep, NextWake: sim.NoWake}
 		}
-		s.tb = twobit.NewSender(p.B1, p.B2)
+		s.tb = twobit.Sender{B1: p.B1, B2: p.B2}
 		s.on = true
 	}
 	if !s.on {
@@ -156,7 +156,8 @@ type receiver struct {
 	msgLen int
 
 	str         *onehop.StreamReceiver
-	rx          *twobit.Receiver
+	rx          twobit.Receiver
+	on          bool // rx holds an exchange (false until the first R1)
 	completedAt uint64
 }
 
@@ -177,9 +178,10 @@ func (n *receiver) Wake(r uint64) sim.Step {
 		if n.str.Complete() {
 			return sim.Step{Action: sim.Sleep, NextWake: sim.NoWake}
 		}
-		n.rx = twobit.NewReceiver()
+		n.rx = twobit.Receiver{}
+		n.on = true
 	}
-	if n.rx == nil { // joined mid-slot (first cycle only)
+	if !n.on { // joined mid-slot (first cycle only)
 		return sim.Step{Action: sim.Sleep, NextWake: r + 1}
 	}
 	switch sub {
@@ -199,7 +201,7 @@ func (n *receiver) Wake(r uint64) sim.Step {
 
 // Deliver implements sim.Device.
 func (n *receiver) Deliver(r uint64, obs radio.Obs) {
-	if n.rx == nil {
+	if !n.on {
 		return
 	}
 	sub := int(r % uint64(twobit.NumRounds))

@@ -67,6 +67,9 @@ func (o Outcome) String() string {
 }
 
 // Sender is the sender role for one slot, transmitting bits (B1, B2).
+// Sender{B1: b1, B2: b2} is ready to use, so callers that run one
+// exchange per slot can hold the machine by value and reset it in
+// place instead of allocating one per slot.
 type Sender struct {
 	B1, B2 bool
 
@@ -128,7 +131,8 @@ func (s *Sender) Outcome() Outcome {
 	return Success
 }
 
-// Receiver is the receiver role for one slot.
+// Receiver is the receiver role for one slot. The zero value is a fresh
+// receiver.
 type Receiver struct {
 	est1, est2 bool // activity observed in R1 / R3
 	sawVeto    bool // activity observed in R5
@@ -198,6 +202,9 @@ func (r *Receiver) Bits() (b1, b2 bool) { return r.est1, r.est2 }
 // veto can distinguish after the fact. For those positions the watcher
 // vetoes unconditionally, spending two broadcasts to keep the square
 // stalled until every honest member has committed the bit.
+//
+// The zero value is an activity-triggered watcher, like
+// NewWatcher(false).
 type Watcher struct {
 	sawAny bool
 }

@@ -49,6 +49,14 @@ const (
 	wheelSpan = uint64(wheelSize) * uint64(wheel1Size)
 )
 
+// Level-0 slot arrays are recycled through a free list: a slot is nil
+// exactly when it is empty, a drained slot's array goes onto
+// wheelFree, and every level-0 append site (schedule, the level-1
+// scatter, overflow migration) takes from that list when the slot it
+// fills is nil. A fleet waking every round therefore alternates between
+// two arrays instead of growing a fresh one per round, and the list
+// never holds more arrays than level 0 ever had occupied slots at once.
+
 // spillEntry is one far-future wake-up waiting outside level 0.
 type spillEntry struct {
 	round uint64
@@ -79,7 +87,7 @@ func (e *Engine) schedule(ix int32, r uint64) {
 	cb := e.wheelBase >> wheelBits
 	switch c := r >> wheelBits; {
 	case c == cb:
-		e.wheel[r&wheelMask] = append(e.wheel[r&wheelMask], ix)
+		e.slotAppend(r, ix)
 		e.wheelCount++
 	case c-cb < wheel1Size:
 		e.wheel1[c&wheel1Mask] = append(e.wheel1[c&wheel1Mask], spillEntry{round: r, ix: ix})
@@ -90,6 +98,19 @@ func (e *Engine) schedule(ix int32, r uint64) {
 		}
 		e.spill = append(e.spill, spillEntry{round: r, ix: ix})
 	}
+}
+
+// slotAppend queues device index ix in the level-0 slot of round r,
+// giving an empty slot a recycled array when one is free.
+func (e *Engine) slotAppend(r uint64, ix int32) {
+	b := e.wheel[r&wheelMask]
+	if b == nil {
+		if n := len(e.wheelFree); n > 0 {
+			b = e.wheelFree[n-1]
+			e.wheelFree = e.wheelFree[:n-1]
+		}
+	}
+	e.wheel[r&wheelMask] = append(b, ix)
 }
 
 // horizon1 returns the first round past the level-1 window of the
@@ -117,7 +138,8 @@ func (e *Engine) rebaseTo(r uint64) {
 		for _, ix := range b {
 			e.spill = append(e.spill, spillEntry{round: round, ix: ix})
 		}
-		e.wheel[slot] = b[:0]
+		e.wheelFree = append(e.wheelFree, b[:0])
+		e.wheel[slot] = nil
 	}
 	for slot, b := range e.wheel1 {
 		if len(b) == 0 {
@@ -152,7 +174,7 @@ func (e *Engine) migrateSpill(cb, horizon uint64) {
 			continue
 		}
 		if c := en.round >> wheelBits; c == cb {
-			e.wheel[en.round&wheelMask] = append(e.wheel[en.round&wheelMask], en.ix)
+			e.slotAppend(en.round, en.ix)
 			e.wheelCount++
 		} else {
 			e.wheel1[c&wheel1Mask] = append(e.wheel1[c&wheel1Mask], en)
@@ -197,7 +219,7 @@ func (e *Engine) wheelNext() (uint64, bool) {
 					if en.round < min {
 						min = en.round
 					}
-					e.wheel[en.round&wheelMask] = append(e.wheel[en.round&wheelMask], en.ix)
+					e.slotAppend(en.round, en.ix)
 				}
 				e.wheel1[c&wheel1Mask] = b[:0]
 				e.wheel1Count -= len(b)
@@ -268,14 +290,12 @@ func (e *Engine) RunUntil(stop Stop, pollEvery, maxRound uint64) uint64 {
 			return maxRound
 		}
 		// Detach the round's wake buckets. The wheel bucket's backing
-		// array is reattached (emptied) after the round: follow-up
-		// wake-ups land in other slots of the current coarse bucket or
-		// in level 1 (scheduling round r again mid-round is impossible
-		// — non-future wakes panic), so the array is free for reuse.
+		// array is recycled after the round: follow-up wake-ups land in
+		// other slots of the current coarse bucket or in level 1
+		// (scheduling round r again mid-round is impossible — non-future
+		// wakes panic), so the slot stays empty until its next use.
 		var wbkt, hbkt []int32
-		slot := -1
-		if len(e.wheel[r&wheelMask]) > 0 && r == e.wheelBase {
-			slot = int(r & wheelMask)
+		if slot := r & wheelMask; len(e.wheel[slot]) > 0 && r == e.wheelBase {
 			wbkt = e.wheel[slot]
 			e.wheel[slot] = nil
 			e.wheelCount -= len(wbkt)
@@ -293,8 +313,8 @@ func (e *Engine) RunUntil(stop Stop, pollEvery, maxRound uint64) uint64 {
 		if e.OnRound != nil {
 			e.OnRound(r, txs)
 		}
-		if slot >= 0 {
-			e.wheel[slot] = wbkt[:0]
+		if wbkt != nil {
+			e.wheelFree = append(e.wheelFree, wbkt[:0])
 		}
 		e.round = r + 1
 		e.rounds++

@@ -124,5 +124,5 @@ func NewResolverDriver(e *Engine, call Caller) RoundDriver {
 	if direct {
 		call = directCaller{e: e}
 	}
-	return &resolver{e: e, call: call, direct: direct}
+	return &resolver{e: e, call: call, direct: direct, seqScratch: new(cellScratch)}
 }

@@ -399,3 +399,137 @@ func TestCloseForwardsToDriver(t *testing.T) {
 		t.Fatalf("driver closed %d times, want 1", cd.closed)
 	}
 }
+
+// fanOutProbe decorates the default resolver and records which
+// work-descriptor jobs ran a sweep large enough to fan out across
+// workers, so a test can prove it reached every job's concurrent
+// branch rather than assume it from fleet sizes.
+type fanOutProbe struct {
+	*resolver
+	fanned map[job]bool
+}
+
+func (p *fanOutProbe) Begin(r uint64, wakes []int32) {
+	p.resolver.Begin(r, wakes)
+	p.note()
+}
+
+func (p *fanOutProbe) Deliver(r uint64, hook ObsHook) {
+	p.resolver.Deliver(r, hook)
+	if len(p.listenIxs) > 0 {
+		p.note()
+	}
+}
+
+// note mirrors the unit counts the resolver hands parallelDo for the
+// job the descriptor last ran.
+func (p *fanOutProbe) note() {
+	v := p.resolver
+	n, per := 0, minPerWorker
+	switch v.w.job {
+	case jobWake, jobCallerWake:
+		n = len(v.w.wakes)
+	case jobChunk:
+		n, per = (len(v.w.wakes)+wakeChunk-1)/wakeChunk, 1
+	case jobObserve, jobObserveSet:
+		n = len(v.listenIxs)
+	case jobShard:
+		n, per = len(v.shardEnd), 1
+	}
+	if fanWorkers(v.e.Workers, n, per) > 1 {
+		p.fanned[v.w.job] = true
+	}
+}
+
+// TestFanOutMatchesSequential drives every work-descriptor job through
+// its fan-out branch (the probe asserts each one really fanned out)
+// and requires the per-listener observation stream, every device's
+// wakes and observations, and the resolved-round count to equal the
+// Workers=1 run. Under -race it is the concurrency check of the shared
+// descriptor and scratch.
+func TestFanOutMatchesSequential(t *testing.T) {
+	friis := func() radio.Medium {
+		m := radio.NewFriisMedium(2.5, 33)
+		m.LossProb = 0.3
+		return m
+	}
+	type outcome struct {
+		events   []obsEvent
+		resolved uint64
+		chaos    []*chaosDevice
+		fleet    *blockFleet
+	}
+	cases := []struct {
+		label string
+		jobs  []job
+		setup func(e *Engine)
+		block bool // block fleet instead of chaos devices
+	}{
+		{label: "cells", jobs: []job{jobWake, jobShard}},
+		{label: "caller", jobs: []job{jobCallerWake, jobShard}, setup: func(e *Engine) {
+			var cc *countingCaller
+			if err := e.UseTransport(callerTransport{cc: &cc}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{label: "linear", jobs: []job{jobObserve}, setup: func(e *Engine) { e.DisableIndex = true }},
+		{label: "flat", jobs: []job{jobObserveSet}, setup: func(e *Engine) { e.flatDelivery = true }},
+		{label: "block", jobs: []job{jobChunk, jobShard}, block: true},
+	}
+	for _, c := range cases {
+		run := func(workers int) (outcome, map[job]bool) {
+			var out outcome
+			e := NewEngine(friis())
+			e.Workers = workers
+			e.OnDeliver = func(r uint64, dev int, obs radio.Obs) {
+				out.events = append(out.events, obsEvent{r: r, dev: dev, obs: obs})
+			}
+			if c.block {
+				const n = 1200
+				g := &blockFleet{pos: make([]geom.Point, n), log: make([][]radio.Obs, n)}
+				ds := make([]blockFleetDev, n)
+				for i := range ds {
+					g.pos[i] = geom.Point{X: float64(i % 35), Y: float64(i / 35)}
+					ds[i] = blockFleetDev{g: g, id: int32(i)}
+					e.Add(&ds[i], 1)
+				}
+				out.fleet = g
+			} else {
+				out.chaos = buildChaos(e, 2000, 17)
+			}
+			if c.setup != nil {
+				c.setup(e)
+			}
+			if e.drv == nil {
+				e.drv = NewResolverDriver(e, nil)
+			}
+			probe := &fanOutProbe{resolver: e.drv.(*resolver), fanned: map[job]bool{}}
+			e.UseDriver(probe)
+			e.RunUntil(nil, 0, 300)
+			out.resolved = e.ResolvedRounds()
+			return out, probe.fanned
+		}
+		seq, _ := run(1)
+		par, fanned := run(4)
+		for _, j := range c.jobs {
+			if !fanned[j] {
+				t.Fatalf("%s: job %d never fanned out (fanned: %v)", c.label, j, fanned)
+			}
+		}
+		if len(seq.events) == 0 || !slices.Equal(seq.events, par.events) {
+			t.Fatalf("%s: observation stream differs across worker counts (%d vs %d events)", c.label, len(seq.events), len(par.events))
+		}
+		if seq.resolved != par.resolved {
+			t.Fatalf("%s: resolved %d vs %d rounds", c.label, seq.resolved, par.resolved)
+		}
+		if c.block {
+			for i := range seq.fleet.log {
+				if !slices.Equal(seq.fleet.log[i], par.fleet.log[i]) {
+					t.Fatalf("%s: device %d observations differ across worker counts", c.label, i)
+				}
+			}
+		} else {
+			chaosEqual(t, c.label+" workers 4 vs 1", seq.chaos, par.chaos)
+		}
+	}
+}

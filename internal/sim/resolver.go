@@ -24,7 +24,9 @@ import (
 const minIndexedTxs = 16
 
 // resolver implements RoundDriver. Per-round scratch is reused across
-// rounds, keeping the hot loops allocation-free after warm-up.
+// rounds, and every parallel sweep runs off the resolver-owned work
+// descriptor instead of a per-round closure, so rounds are
+// allocation-free after warm-up on every path.
 type resolver struct {
 	e    *Engine
 	call Caller
@@ -32,6 +34,9 @@ type resolver struct {
 	// loops then bypass the Caller dispatch so the sim path costs
 	// exactly what it did before the seam existed.
 	direct bool
+
+	// w describes the sweep parallelDo is running (see work).
+	w work
 
 	steps     []Step
 	hnd       []uint32 // phase-A handle scratch, parallel to steps
@@ -49,6 +54,44 @@ type resolver struct {
 	seqScratch *cellScratch
 }
 
+// job selects the per-unit body of a parallel sweep.
+type job uint8
+
+const (
+	jobWake       job = iota // phase A: Device.Wake per wake index
+	jobCallerWake            // phase A: Caller.Wake per wake index
+	jobChunk                 // phase A: batched sweep per wakeChunk of the wake set
+	jobObserve               // phase B: Medium.Observe over all transmissions per listener
+	jobObserveSet            // phase B: IndexedMedium.ObserveSet per listener
+	jobShard                 // phase B: one deliverCells shard per unit
+)
+
+// work is the descriptor of the sweep parallelDo runs: which job, the
+// round, and the inputs the job reads beyond the resolver's own
+// scratch. It is written before a sweep and only read during it, so
+// workers share it without synchronization, and reusing it keeps the
+// per-round path free of escaping closures.
+type work struct {
+	job   job
+	r     uint64
+	wakes []int32     // phase A: the round's wake set
+	rec   []radio.Obs // phase B: observation record, nil without a hook
+
+	im     radio.IndexedMedium   // jobObserveSet
+	cm     radio.CandidateMedium // jobShard
+	cellM  radio.CellMedium      // jobShard: non-nil for cell-shared media
+	queryR float64               // jobShard: candidate gather radius
+	batch  bool                  // jobShard: deliver per same-handler run
+}
+
+// Phase-A and per-listener sweeps fan out only with at least
+// minPerWorker units per worker, and workers claim blockSize units at a
+// time.
+const (
+	minPerWorker = 16
+	blockSize    = 16
+)
+
 // Begin runs phase A: wake devices, collect steps, fold transmissions
 // and listeners, and schedule next wakes. When block devices are
 // registered and the caller is in-process, the wake sweep batches
@@ -59,7 +102,8 @@ func (v *resolver) Begin(r uint64, wakes []int32) {
 	if cap(v.steps) < len(wakes) {
 		v.steps = make([]Step, len(wakes))
 	}
-	steps := v.steps[:len(wakes)]
+	v.steps = v.steps[:len(wakes)]
+	v.w = work{r: r, wakes: wakes}
 	switch {
 	case v.direct && e.batched:
 		// hnd mirrors steps index-for-index; chunks touch disjoint
@@ -70,36 +114,15 @@ func (v *resolver) Begin(r uint64, wakes []int32) {
 		if cap(v.hnd) < len(wakes) {
 			v.hnd = make([]uint32, len(wakes))
 		}
-		hnd := v.hnd[:len(wakes)]
-		v.parallelChunks(len(wakes), func(lo, hi int) {
-			i := lo
-			for i < hi {
-				h := e.blockH[wakes[i]]
-				j := i + 1
-				for j < hi && e.blockH[wakes[j]] == h {
-					j++
-				}
-				if h == nil {
-					for k := i; k < j; k++ {
-						steps[k] = e.devices[wakes[k]].Wake(r)
-					}
-				} else {
-					for k := i; k < j; k++ {
-						hnd[k] = e.blockIx[wakes[k]]
-					}
-					h.WakeBlock(r, hnd[i:j], steps[i:j])
-				}
-				i = j
-			}
-		})
+		v.hnd = v.hnd[:len(wakes)]
+		v.w.job = jobChunk
+		v.parallelDo((len(wakes)+wakeChunk-1)/wakeChunk, 1, 1)
 	case v.direct:
-		v.parallelDo(len(wakes), func(i int) {
-			steps[i] = e.devices[wakes[i]].Wake(r)
-		})
+		v.w.job = jobWake
+		v.parallelDo(len(wakes), minPerWorker, blockSize)
 	default:
-		v.parallelDo(len(wakes), func(i int) {
-			steps[i] = v.call.Wake(wakes[i], r)
-		})
+		v.w.job = jobCallerWake
+		v.parallelDo(len(wakes), minPerWorker, blockSize)
 	}
 
 	// Collect transmissions and listeners, and schedule next wakes.
@@ -107,7 +130,7 @@ func (v *resolver) Begin(r uint64, wakes []int32) {
 	v.listenIxs = v.listenIxs[:0]
 	srcSorted := true
 	lastSrc := math.MinInt
-	for i, st := range steps {
+	for i, st := range v.steps {
 		ix := wakes[i]
 		switch st.Action {
 		case Transmit:
@@ -135,7 +158,37 @@ func (v *resolver) Begin(r uint64, wakes []int32) {
 	// traces) bit-for-bit identical across calendar knobs. Wake order
 	// usually is id order already, making the check free.
 	if !srcSorted {
-		slices.SortFunc(v.txs, func(a, b radio.Tx) int { return cmp.Compare(a.Frame.Src, b.Frame.Src) })
+		slices.SortFunc(v.txs, txBySrc)
+	}
+}
+
+// txBySrc orders transmissions by transmitter id.
+func txBySrc(a, b radio.Tx) int { return cmp.Compare(a.Frame.Src, b.Frame.Src) }
+
+// wakeChunkRange is the batched phase-A body over wake indices [lo,
+// hi): contiguous same-handler runs go to one WakeBlock call, devices
+// without a handler to Wake.
+func (v *resolver) wakeChunkRange(lo, hi int) {
+	e, r := v.e, v.w.r
+	steps, hnd, wakes := v.steps, v.hnd, v.w.wakes
+	i := lo
+	for i < hi {
+		h := e.blockH[wakes[i]]
+		j := i + 1
+		for j < hi && e.blockH[wakes[j]] == h {
+			j++
+		}
+		if h == nil {
+			for k := i; k < j; k++ {
+				steps[k] = e.devices[wakes[k]].Wake(r)
+			}
+		} else {
+			for k := i; k < j; k++ {
+				hnd[k] = e.blockIx[wakes[k]]
+			}
+			h.WakeBlock(r, hnd[i:j], steps[i:j])
+		}
+		i = j
 	}
 }
 
@@ -153,65 +206,59 @@ func (v *resolver) Deliver(r uint64, hook ObsHook) {
 	if len(v.listenIxs) == 0 {
 		return
 	}
-	var rec []radio.Obs
+	v.w = work{r: r}
 	if hook != nil {
 		if cap(v.obsRec) < len(v.e.devices) {
 			v.obsRec = make([]radio.Obs, len(v.e.devices))
 		}
-		rec = v.obsRec[:len(v.e.devices)]
+		v.w.rec = v.obsRec[:len(v.e.devices)]
 	}
-	v.resolve(r, rec)
+	v.resolve()
 	if hook != nil {
 		// Emit sequentially in listener wake order so rx traces are
 		// stable no matter which delivery path or worker count
 		// resolved the round.
 		for _, ix := range v.listenIxs {
-			hook(r, v.e.ids[ix], rec[ix])
+			hook(r, v.e.ids[ix], v.w.rec[ix])
 		}
 	}
 }
 
 // deliverTo forwards one observation to its listener and records it
 // when an observation hook is active this round.
-func (v *resolver) deliverTo(rec []radio.Obs, ix int32, r uint64, obs radio.Obs) {
+func (v *resolver) deliverTo(ix int32, obs radio.Obs) {
 	if v.direct {
-		v.e.devices[ix].Deliver(r, obs)
+		v.e.devices[ix].Deliver(v.w.r, obs)
 	} else {
-		v.call.Deliver(ix, r, obs)
+		v.call.Deliver(ix, v.w.r, obs)
 	}
-	if rec != nil {
-		rec[ix] = obs
+	if v.w.rec != nil {
+		v.w.rec[ix] = obs
 	}
 }
 
 // resolve picks the channel-resolution path for the round's listeners.
-func (v *resolver) resolve(r uint64, rec []radio.Obs) {
+func (v *resolver) resolve() {
 	e := v.e
-	listeners := v.listenIxs
-	txs := v.txs
-	if !e.DisableIndex && len(txs) >= minIndexedTxs {
+	if !e.DisableIndex && len(v.txs) >= minIndexedTxs {
 		// Index only for finite sense ranges: an unbounded medium gains
 		// nothing from spatial bucketing.
 		if sr := e.Medium.SenseRange(); sr > 0 && !math.IsInf(sr, 1) {
 			if cm, ok := e.Medium.(radio.CandidateMedium); ok && !e.flatDelivery {
-				v.txSet.Reset(txs, sr)
-				v.deliverCells(r, cm, sr*radio.SenseMargin, rec)
+				v.txSet.Reset(v.txs, sr)
+				v.deliverCells(cm, sr*radio.SenseMargin)
 				return
 			}
 			if im, ok := e.Medium.(radio.IndexedMedium); ok {
-				v.txSet.Reset(txs, sr)
-				v.parallelDo(len(listeners), func(j int) {
-					ix := listeners[j]
-					v.deliverTo(rec, ix, r, im.ObserveSet(r, e.ids[ix], e.pos[ix], &v.txSet))
-				})
+				v.txSet.Reset(v.txs, sr)
+				v.w.job, v.w.im = jobObserveSet, im
+				v.parallelDo(len(v.listenIxs), minPerWorker, blockSize)
 				return
 			}
 		}
 	}
-	v.parallelDo(len(listeners), func(j int) {
-		ix := listeners[j]
-		v.deliverTo(rec, ix, r, e.Medium.Observe(r, e.ids[ix], e.pos[ix], txs))
-	})
+	v.w.job = jobObserve
+	v.parallelDo(len(v.listenIxs), minPerWorker, blockSize)
 }
 
 // shardTarget is the number of listeners a phase-B shard aims for:
@@ -247,10 +294,9 @@ var cellPool = sync.Pool{New: func() interface{} { return new(cellScratch) }}
 // each cell's observations are delivered in one DeliverBlock call per
 // contiguous same-handler run instead of one interface call per
 // listener.
-func (v *resolver) deliverCells(r uint64, cm radio.CandidateMedium, queryR float64, rec []radio.Obs) {
+func (v *resolver) deliverCells(cm radio.CandidateMedium, queryR float64) {
 	e := v.e
 	listeners := v.listenIxs
-	txs := v.txs
 	nl := len(listeners)
 	cells := v.txSet.Cells()
 
@@ -258,7 +304,8 @@ func (v *resolver) deliverCells(r uint64, cm radio.CandidateMedium, queryR float
 	if cap(v.cellStart) < cells+1 {
 		v.cellStart = make([]int32, cells+1)
 	}
-	cs := v.cellStart[:cells+1]
+	v.cellStart = v.cellStart[:cells+1]
+	cs := v.cellStart
 	for i := range cs {
 		cs[i] = 0
 	}
@@ -277,7 +324,8 @@ func (v *resolver) deliverCells(r uint64, cm radio.CandidateMedium, queryR float
 	if cap(v.cellOrder) < nl {
 		v.cellOrder = make([]int32, nl)
 	}
-	ord := v.cellOrder[:nl]
+	v.cellOrder = v.cellOrder[:nl]
+	ord := v.cellOrder
 	for j, ix := range listeners {
 		c := ci[j]
 		ord[cs[c]] = ix
@@ -301,99 +349,158 @@ func (v *resolver) deliverCells(r uint64, cm radio.CandidateMedium, queryR float
 		v.shardEnd = append(v.shardEnd, int32(cells))
 	}
 
-	cellM, _ := cm.(radio.CellMedium)
-	batch := v.direct && e.batched
+	v.w.job = jobShard
+	v.w.cm = cm
+	v.w.cellM, _ = cm.(radio.CellMedium)
+	v.w.queryR = queryR
+	v.w.batch = v.direct && e.batched
+	v.parallelDo(len(v.shardEnd), 1, 1)
+}
 
-	runShard := func(s int, sc *cellScratch) {
-		lo := int32(0)
-		if s > 0 {
-			lo = v.shardEnd[s-1]
+// runShard resolves and delivers the listeners of phase-B shard s,
+// cell by cell, with one candidate gather per cell.
+func (v *resolver) runShard(s int, sc *cellScratch) {
+	e, w := v.e, &v.w
+	cs, ord := v.cellStart, v.cellOrder
+	lo := int32(0)
+	if s > 0 {
+		lo = v.shardEnd[s-1]
+	}
+	for c := lo; c < v.shardEnd[s]; c++ {
+		a, b := cs[c], cs[c+1]
+		if a == b {
+			continue
 		}
-		for c := lo; c < v.shardEnd[s]; c++ {
-			a, b := cs[c], cs[c+1]
-			if a == b {
-				continue
-			}
-			// One candidate gather per cell, over the bounding box of
-			// the cell's listeners (their positions may clamp into a
-			// border cell from outside the grid).
-			pmin := e.pos[ord[a]]
-			pmax := pmin
-			for _, ix := range ord[a+1 : b] {
-				p := e.pos[ix]
-				pmin.X = math.Min(pmin.X, p.X)
-				pmin.Y = math.Min(pmin.Y, p.Y)
-				pmax.X = math.Max(pmax.X, p.X)
-				pmax.Y = math.Max(pmax.Y, p.Y)
-			}
-			if cellM != nil {
-				cellM.BeginCell(&sc.cs, r, &v.txSet, pmin, pmax)
-			} else {
-				sc.cand = v.txSet.GatherBox(sc.cand[:0], pmin, pmax, queryR)
-			}
-			observe := func(ix int32) radio.Obs {
-				if cellM != nil {
-					return cellM.ObserveCell(&sc.cs, r, e.ids[ix], e.pos[ix])
-				}
-				return cm.ObserveCand(r, e.ids[ix], e.pos[ix], txs, sc.cand)
-			}
-			if !batch {
-				for _, ix := range ord[a:b] {
-					v.deliverTo(rec, ix, r, observe(ix))
-				}
-				continue
-			}
-			// Batched delivery: resolve the cell into the observation
-			// buffer, then deliver per contiguous same-handler run.
-			ixs := ord[a:b]
-			sc.obs = sc.obs[:0]
+		// One candidate gather per cell, over the bounding box of the
+		// cell's listeners (their positions may clamp into a border
+		// cell from outside the grid).
+		pmin := e.pos[ord[a]]
+		pmax := pmin
+		for _, ix := range ord[a+1 : b] {
+			p := e.pos[ix]
+			pmin.X = math.Min(pmin.X, p.X)
+			pmin.Y = math.Min(pmin.Y, p.Y)
+			pmax.X = math.Max(pmax.X, p.X)
+			pmax.Y = math.Max(pmax.Y, p.Y)
+		}
+		if w.cellM != nil {
+			w.cellM.BeginCell(&sc.cs, w.r, &v.txSet, pmin, pmax)
+		} else {
+			sc.cand = v.txSet.GatherBox(sc.cand[:0], pmin, pmax, w.queryR)
+		}
+		ixs := ord[a:b]
+		if !w.batch {
 			for _, ix := range ixs {
-				sc.obs = append(sc.obs, observe(ix))
+				v.deliverTo(ix, v.observeCell(sc, ix))
 			}
-			k := 0
-			for k < len(ixs) {
-				h := e.blockH[ixs[k]]
-				j := k + 1
-				for j < len(ixs) && e.blockH[ixs[j]] == h {
-					j++
-				}
-				bd, ok := h.(BlockDeliverer)
-				if !ok {
-					for t := k; t < j; t++ {
-						v.deliverTo(rec, ixs[t], r, sc.obs[t])
-					}
-					k = j
-					continue
-				}
-				sc.hnd = sc.hnd[:0]
+			continue
+		}
+		// Batched delivery: resolve the cell into the observation
+		// buffer, then deliver per contiguous same-handler run.
+		sc.obs = sc.obs[:0]
+		for _, ix := range ixs {
+			sc.obs = append(sc.obs, v.observeCell(sc, ix))
+		}
+		k := 0
+		for k < len(ixs) {
+			h := e.blockH[ixs[k]]
+			j := k + 1
+			for j < len(ixs) && e.blockH[ixs[j]] == h {
+				j++
+			}
+			bd, ok := h.(BlockDeliverer)
+			if !ok {
 				for t := k; t < j; t++ {
-					sc.hnd = append(sc.hnd, e.blockIx[ixs[t]])
-				}
-				bd.DeliverBlock(r, sc.hnd, sc.obs[k:j])
-				if rec != nil {
-					for t := k; t < j; t++ {
-						rec[ixs[t]] = sc.obs[t]
-					}
+					v.deliverTo(ixs[t], sc.obs[t])
 				}
 				k = j
+				continue
 			}
+			sc.hnd = sc.hnd[:0]
+			for t := k; t < j; t++ {
+				sc.hnd = append(sc.hnd, e.blockIx[ixs[t]])
+			}
+			bd.DeliverBlock(w.r, sc.hnd, sc.obs[k:j])
+			if w.rec != nil {
+				for t := k; t < j; t++ {
+					w.rec[ixs[t]] = sc.obs[t]
+				}
+			}
+			k = j
 		}
 	}
+}
 
-	shards := len(v.shardEnd)
-	w := e.Workers
-	if w > shards {
-		w = shards
+// observeCell resolves listener ix against the cell prepared in sc.
+func (v *resolver) observeCell(sc *cellScratch, ix int32) radio.Obs {
+	e, w := v.e, &v.w
+	if w.cellM != nil {
+		return w.cellM.ObserveCell(&sc.cs, w.r, e.ids[ix], e.pos[ix])
 	}
+	return w.cm.ObserveCand(w.r, e.ids[ix], e.pos[ix], v.txs, sc.cand)
+}
+
+// wakeChunk is the index-block size of the batched phase-A sweep:
+// large enough that one WakeBlock call amortizes across hundreds of
+// devices, small enough that work stealing still rebalances.
+const wakeChunk = 256
+
+// run executes the descriptor's job over units [lo, hi) with phase-B
+// scratch sc. A unit is a wake index (jobWake, jobCallerWake), a
+// wakeChunk of wake indices (jobChunk), a listener (jobObserve,
+// jobObserveSet) or a shard (jobShard).
+func (v *resolver) run(lo, hi int, sc *cellScratch) {
+	e, r := v.e, v.w.r
+	switch v.w.job {
+	case jobWake:
+		steps, wakes := v.steps, v.w.wakes
+		for i := lo; i < hi; i++ {
+			steps[i] = e.devices[wakes[i]].Wake(r)
+		}
+	case jobCallerWake:
+		steps, wakes := v.steps, v.w.wakes
+		for i := lo; i < hi; i++ {
+			steps[i] = v.call.Wake(wakes[i], r)
+		}
+	case jobChunk:
+		for b := lo; b < hi; b++ {
+			v.wakeChunkRange(b*wakeChunk, min((b+1)*wakeChunk, len(v.w.wakes)))
+		}
+	case jobObserve:
+		for _, ix := range v.listenIxs[lo:hi] {
+			v.deliverTo(ix, e.Medium.Observe(r, e.ids[ix], e.pos[ix], v.txs))
+		}
+	case jobObserveSet:
+		for _, ix := range v.listenIxs[lo:hi] {
+			v.deliverTo(ix, v.w.im.ObserveSet(r, e.ids[ix], e.pos[ix], &v.txSet))
+		}
+	case jobShard:
+		for s := lo; s < hi; s++ {
+			v.runShard(s, sc)
+		}
+	}
+}
+
+// fanWorkers is the number of workers a sweep of n units gets: at
+// most workers, and only as many as have perWorker units each. At most
+// one means the sweep runs inline.
+func fanWorkers(workers, n, perWorker int) int {
+	return min(workers, n/perWorker)
+}
+
+// parallelDo runs the descriptor's job over units [0, n). Sequentially
+// it is one inline run over every unit with the resolver's own scratch.
+// With Workers > 1 and at least perWorker units per worker it fans out:
+// workers claim blocks of the given size through an atomic cursor, so
+// uneven per-unit cost (a jammed region's expensive listeners)
+// rebalances instead of stretching one pre-assigned chunk.
+func (v *resolver) parallelDo(n, perWorker, block int) {
+	w := fanWorkers(v.e.Workers, n, perWorker)
 	if w <= 1 {
-		if v.seqScratch == nil {
-			v.seqScratch = new(cellScratch)
-		}
-		for s := 0; s < shards; s++ {
-			runShard(s, v.seqScratch)
-		}
+		v.run(0, n, v.seqScratch)
 		return
 	}
+	blocks := (n + block - 1) / block
 	var cursor atomic.Int32
 	var wg sync.WaitGroup
 	wg.Add(w)
@@ -402,104 +509,13 @@ func (v *resolver) deliverCells(r uint64, cm radio.CandidateMedium, queryR float
 			defer wg.Done()
 			sc := cellPool.Get().(*cellScratch)
 			for {
-				s := int(cursor.Add(1)) - 1
-				if s >= shards {
-					break
-				}
-				runShard(s, sc)
-			}
-			cellPool.Put(sc)
-		}()
-	}
-	wg.Wait()
-}
-
-// wakeChunk is the index-block size of the batched phase-A sweep:
-// large enough that one WakeBlock call amortizes across hundreds of
-// devices, small enough that work stealing still rebalances.
-const wakeChunk = 256
-
-// parallelChunks runs f over contiguous index chunks of at most
-// wakeChunk covering [0, n), fanning out across Workers goroutines
-// claiming chunks through an atomic cursor when configured.
-func (v *resolver) parallelChunks(n int, f func(lo, hi int)) {
-	chunks := (n + wakeChunk - 1) / wakeChunk
-	w := v.e.Workers
-	if w > chunks {
-		w = chunks
-	}
-	if w <= 1 {
-		for b := 0; b < chunks; b++ {
-			hi := (b + 1) * wakeChunk
-			if hi > n {
-				hi = n
-			}
-			f(b*wakeChunk, hi)
-		}
-		return
-	}
-	var cursor atomic.Int32
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(cursor.Add(1)) - 1
-				if b >= chunks {
-					return
-				}
-				hi := (b + 1) * wakeChunk
-				if hi > n {
-					hi = n
-				}
-				f(b*wakeChunk, hi)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// parallelDo runs f(i) for i in [0,n), fanning out across Workers
-// goroutines when configured and n is large enough to amortize the
-// synchronization cost. Workers claim fixed-size index blocks through
-// an atomic cursor, so uneven per-index cost rebalances across workers
-// instead of stretching one pre-assigned chunk.
-func (v *resolver) parallelDo(n int, f func(int)) {
-	const (
-		minPerWorker = 16
-		blockSize    = 16
-	)
-	w := v.e.Workers
-	if w > n/minPerWorker {
-		w = n / minPerWorker
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	blocks := (n + blockSize - 1) / blockSize
-	var cursor atomic.Int32
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for {
 				b := int(cursor.Add(1)) - 1
 				if b >= blocks {
-					return
+					break
 				}
-				end := (b + 1) * blockSize
-				if end > n {
-					end = n
-				}
-				for i := b * blockSize; i < end; i++ {
-					f(i)
-				}
+				v.run(b*block, min((b+1)*block, n), sc)
 			}
+			cellPool.Put(sc)
 		}()
 	}
 	wg.Wait()

@@ -153,6 +153,7 @@ type Engine struct {
 	// next wheel1Size-1 coarse buckets one slot each, spill is the
 	// unsorted overflow beyond the level-1 horizon.
 	wheel       [][]int32
+	wheelFree   [][]int32 // recycled empty level-0 slot arrays
 	wheelBase   uint64
 	wheelCount  int
 	wheel1      [][]spillEntry

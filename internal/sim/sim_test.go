@@ -659,6 +659,57 @@ func TestWheelMatchesHeapDeepHorizons(t *testing.T) {
 	}
 }
 
+// wheelArrays counts the level-0 slot arrays the engine holds: the free
+// list plus every occupied slot.
+func wheelArrays(e *Engine) int {
+	n := len(e.wheelFree)
+	for _, b := range e.wheel {
+		if b != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestWheelFreeListBounded runs fleets across many coarse buckets and
+// requires the level-0 array free list to stay bounded: with one
+// pending wake-up per device, level 0 never needs more arrays than
+// devices plus the round being resolved. Every append site must draw
+// from the list — one that allocated instead (the level-1 scatter, or
+// overflow migration straight into level 0) would grow it by an array
+// per round it fills.
+func TestWheelFreeListBounded(t *testing.T) {
+	for _, fleet := range []struct {
+		label    string
+		strides  []uint64
+		maxRound uint64
+	}{
+		// Near and level-1 strides: 64 coarse buckets of scatters.
+		{"level1", []uint64{1, 3, 7, 97, 1023, wheelSize - 1, wheelSize + 13, 2*wheelSize + 1, 5*wheelSize + 3}, 64 * wheelSize},
+		// Only overflow strides, waking in one coarse bucket: the
+		// wheels drain between wake-ups, so the clock jumps to each and
+		// migrates it straight into level 0.
+		{"overflow", []uint64{2*wheelSpan + 5, 2*wheelSpan + 9}, 16 * wheelSpan},
+	} {
+		e := NewEngine(&radio.DiskMedium{R: 2, Metric: geom.LInf})
+		devs := make([]*deepStrideDevice, len(fleet.strides))
+		for i, s := range fleet.strides {
+			devs[i] = &deepStrideDevice{id: i, stride: s}
+			e.Add(devs[i], uint64(i)+1)
+		}
+		e.RunUntil(nil, 0, fleet.maxRound)
+		for i, d := range devs {
+			want := (fleet.maxRound-uint64(i)-2)/d.stride + 1
+			if uint64(len(d.wakes)) != want {
+				t.Fatalf("%s: device %d (stride %d) woke %d times, want %d", fleet.label, i, d.stride, len(d.wakes), want)
+			}
+		}
+		if got, bound := wheelArrays(e), len(devs)+1; got > bound {
+			t.Fatalf("%s: level 0 holds %d slot arrays after %d rounds, want <= %d", fleet.label, got, e.ResolvedRounds(), bound)
+		}
+	}
+}
+
 // TestCellShardedMatchesFlat is the phase-B ordering property: cell-
 // ordered, shard-stolen delivery must produce exactly the observations
 // of flat wake-order delivery and of the fully linear scan, across
